@@ -293,4 +293,23 @@ awk -F, 'NR > 1 {
 grep -q '"stream_1024_subs_p99_ms"' target/ci-c10k/par/BENCH_repro.json \
   || { echo "BENCH_repro.json lacks the subscriber latency curve"; exit 1; }
 
+echo "==> perfbench smoke: build, metric tests, checked history-query run"
+# perfbench is a package of its own that links the archive and tsdb
+# query APIs by path, so no other stage builds it. Build it, run its
+# unit tests, and run a short history-query pass: every answer of the
+# checked queries is compared with the fixture oracle, so the run must
+# end correct with no failed operation. Its wall-clock metrics are
+# printed, never gated.
+rm -rf target/ci-perfbench && mkdir -p target/ci-perfbench
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml >/dev/null \
+  || { echo "perfbench unit tests failed"; exit 1; }
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload history-query --seed 3 --seconds 2 --trace 0 \
+  >target/ci-perfbench/history-query.txt \
+  || { echo "perfbench history-query run failed"; tail -n 20 target/ci-perfbench/history-query.txt; exit 1; }
+tail -n 1 target/ci-perfbench/history-query.txt | grep -q '"correct": true, .*"failed": 0,' \
+  || { echo "history-query run not correct or had failed operations"
+       grep -E '^(error|ops)' target/ci-perfbench/history-query.txt; exit 1; }
+
 echo "CI green."

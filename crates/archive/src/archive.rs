@@ -19,12 +19,21 @@
 //!   the query range cuts through. The fast stats path reproduces the
 //!   writer's per-block accumulation order exactly and therefore
 //!   agrees with a full decode to the last bit.
+//!
+//! Every query that needs per-frame power goes through one decoder,
+//! [`Archive::decode_samples_into`]: it walks a segment payload and
+//! turns each frame straight into a [`Sample`] through per-pair code
+//! tables built at open, into buffers the caller owns. Long reads
+//! decode their segments in windows spread over the `compat/rayon`
+//! pool ([`Archive::decode_window`]) and fold the samples sequentially
+//! in segment order, so answers never depend on thread count. Payload
+//! reads are positioned (`read_exact_at`): no seek, no lock.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use parking_lot::Mutex;
 use ps3_analysis::Trace;
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
@@ -37,9 +46,18 @@ use crate::format::{
 };
 use crate::index::{index_path_for, ArchiveIndex};
 use crate::segment::{
-    build_summaries, decode_payload, frame_total, parse_markers, parse_summaries, ArchiveFrame,
-    SegmentHeader, SummaryBlock,
+    build_summaries, decode_payload, decode_samples, frame_total, parse_markers, parse_summaries,
+    ArchiveFrame, PairTables, Sample, SegmentHeader, SummaryBlock,
 };
+
+/// Segments a windowed read decodes at once per pool lane: enough that
+/// each lane decodes a few segments per window, few enough that the
+/// window's sample buffers stay small.
+const WINDOW_SEGMENTS_PER_LANE: usize = 4;
+
+/// Reads touching at most this many segments decode inline: handing
+/// them to the pool costs about what it saves.
+const INLINE_SEGMENTS: usize = 2;
 
 /// Where a sealed segment lives and what it covers — everything a
 /// query needs short of the payload itself.
@@ -143,22 +161,59 @@ impl RangeStats {
     }
 }
 
+/// Caller-owned buffers for decoding one segment: its payload bytes
+/// and the samples decoded from them. Reusing a buffer across segments
+/// and queries reuses both allocations.
+#[derive(Debug, Default)]
+pub struct SampleBuf {
+    payload: Vec<u8>,
+    samples: Vec<Sample>,
+}
+
+impl SampleBuf {
+    /// The samples last decoded into this buffer.
+    #[must_use]
+    pub fn samples(&self) -> &[Sample] {
+        &self.samples
+    }
+
+    /// `meta`'s samples: decoded into this buffer unless `*loaded`
+    /// says it already holds them, then marked loaded. A walk over one
+    /// segment starts with `loaded` false and decodes at most once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Archive::decode_samples_into`].
+    pub fn load(
+        &mut self,
+        archive: &Archive,
+        meta: &SegmentMeta,
+        loaded: &mut bool,
+    ) -> Result<&[Sample], ArchiveError> {
+        if !*loaded {
+            archive.decode_samples_into(meta, &mut self.payload, &mut self.samples)?;
+            *loaded = true;
+        }
+        Ok(&self.samples)
+    }
+}
+
 /// A read-only handle on a `.ps3a` archive.
 #[derive(Debug)]
 pub struct Archive {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
     configs: [SensorConfig; SENSOR_SLOTS],
     adc: AdcSpec,
+    tables: PairTables,
     segments: Vec<SegmentMeta>,
     markers: Vec<(u64, char)>,
     recovery: RecoveryReport,
 }
 
-fn read_at(file: &mut File, offset: u64, len: usize) -> Result<Vec<u8>, ArchiveError> {
-    file.seek(SeekFrom::Start(offset))?;
+fn read_at(file: &File, offset: u64, len: usize) -> Result<Vec<u8>, ArchiveError> {
     let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
+    file.read_exact_at(&mut buf, offset)?;
     Ok(buf)
 }
 
@@ -180,7 +235,7 @@ impl Archive {
             .read_to_end(&mut header)?;
         let configs = decode_file_header(&header)?;
 
-        let (segments, recovery) = match Self::try_index(&path, &mut file, file_len) {
+        let (segments, recovery) = match Self::try_index(&path, &file, file_len) {
             Some(segments) => (
                 segments,
                 RecoveryReport {
@@ -189,7 +244,7 @@ impl Archive {
                 },
             ),
             None => {
-                let (segments, sealed_len) = Self::scan(&mut file, file_len)?;
+                let (segments, sealed_len) = Self::scan(&file, file_len)?;
                 (
                     segments,
                     RecoveryReport {
@@ -203,11 +258,13 @@ impl Archive {
         for seg in &segments {
             markers.extend_from_slice(&seg.markers);
         }
+        let adc = AdcSpec::POWERSENSOR3;
         Ok(Self {
             path,
-            file: Mutex::new(file),
+            file,
+            tables: PairTables::new(&configs, &adc),
             configs,
-            adc: AdcSpec::POWERSENSOR3,
+            adc,
             segments,
             markers,
             recovery,
@@ -218,7 +275,7 @@ impl Archive {
     /// inconsistency — missing or damaged sidecar, stale `data_len`,
     /// index records that disagree with the file — returns `None` and
     /// the caller falls back to a full scan.
-    fn try_index(path: &Path, file: &mut File, file_len: u64) -> Option<Vec<SegmentMeta>> {
+    fn try_index(path: &Path, file: &File, file_len: u64) -> Option<Vec<SegmentMeta>> {
         let bytes = std::fs::read(index_path_for(path)).ok()?;
         let index = ArchiveIndex::decode(&bytes).ok()?;
         if index.data_len != file_len {
@@ -257,7 +314,7 @@ impl Archive {
     /// Sequentially scans the archive, keeping every CRC-valid sealed
     /// segment and stopping at the first sign of damage. Returns the
     /// metadata plus the length of the valid sealed prefix.
-    fn scan(file: &mut File, file_len: u64) -> Result<(Vec<SegmentMeta>, u64), ArchiveError> {
+    fn scan(file: &File, file_len: u64) -> Result<(Vec<SegmentMeta>, u64), ArchiveError> {
         let mut segments = Vec::new();
         let mut offset = FILE_HEADER_SIZE as u64;
         while offset + (SEGMENT_HEADER_SIZE + SEGMENT_TRAILER_SIZE) as u64 <= file_len {
@@ -305,7 +362,9 @@ impl Archive {
     }
 
     /// Decodes one segment's payload into frames (for replay-style
-    /// consumers that want raw frames rather than a [`Trace`]).
+    /// consumers that want raw frames rather than a [`Trace`]). With
+    /// [`frame_total`] this is also the reference the sample decoder
+    /// is checked against.
     ///
     /// # Errors
     ///
@@ -314,7 +373,80 @@ impl Archive {
         &self,
         meta: &SegmentMeta,
     ) -> Result<Vec<ArchiveFrame>, ArchiveError> {
-        self.decode_segment(meta)
+        let mut payload = Vec::new();
+        self.read_payload(meta, &mut payload)?;
+        decode_payload(&meta.header, &payload, meta.offset)
+    }
+
+    /// Decodes one segment into `out` (cleared first): every frame's
+    /// time, marker and total power, the power bit-identical to
+    /// [`frame_total`] of the frame. `payload` receives the segment's
+    /// payload bytes; both buffers are the caller's, so repeated
+    /// decodes reuse their allocations.
+    ///
+    /// # Errors
+    ///
+    /// I/O or corruption errors from segment decoding.
+    pub fn decode_samples_into(
+        &self,
+        meta: &SegmentMeta,
+        payload: &mut Vec<u8>,
+        out: &mut Vec<Sample>,
+    ) -> Result<(), ArchiveError> {
+        self.read_payload(meta, payload)?;
+        decode_samples(&meta.header, payload, meta.offset, &self.tables, out)
+    }
+
+    /// Reads `meta`'s payload bytes into `buf` with a positioned read.
+    fn read_payload(&self, meta: &SegmentMeta, buf: &mut Vec<u8>) -> Result<(), ArchiveError> {
+        buf.resize(meta.header.payload_len as usize, 0);
+        self.file.read_exact_at(buf, meta.payload_offset())?;
+        Ok(())
+    }
+
+    /// Segments a windowed read decodes at once: a few per lane of the
+    /// global pool.
+    #[must_use]
+    pub fn decode_window_len() -> usize {
+        WINDOW_SEGMENTS_PER_LANE * rayon::current_num_threads()
+    }
+
+    /// Decodes `metas[j]` into `bufs[j]` for every `j`, spread over the
+    /// global pool when there are more than two (fewer decode inline).
+    /// Each buffer ends up holding exactly its own segment's samples,
+    /// whatever the thread count.
+    ///
+    /// # Errors
+    ///
+    /// The first error in `metas` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bufs` is shorter than `metas`.
+    pub fn decode_window(
+        &self,
+        metas: &[&SegmentMeta],
+        bufs: &mut [SampleBuf],
+    ) -> Result<(), ArchiveError> {
+        assert!(bufs.len() >= metas.len(), "one buffer per segment");
+        let mut jobs: Vec<_> = metas.iter().zip(bufs.iter_mut()).collect();
+        if jobs.len() > INLINE_SEGMENTS {
+            // Grow the buffers here, so pool workers never allocate:
+            // what they allocated would stay in their own heap arenas.
+            for (meta, buf) in &mut jobs {
+                buf.payload.clear();
+                buf.payload.reserve(meta.header.payload_len as usize);
+                buf.samples.clear();
+                buf.samples.reserve(meta.header.frame_count as usize);
+            }
+        }
+        let decode = |(meta, buf): (&&SegmentMeta, &mut SampleBuf)| {
+            self.decode_samples_into(meta, &mut buf.payload, &mut buf.samples)
+        };
+        if jobs.len() <= INLINE_SEGMENTS {
+            return jobs.into_iter().try_for_each(decode);
+        }
+        rayon::global().par_map(jobs, decode).into_iter().collect()
     }
 
     /// The archive file path.
@@ -385,16 +517,6 @@ impl Archive {
             .filter(move |s| s.header.start_us < end_us && s.header.end_us >= start_us)
     }
 
-    /// Decodes one segment's payload into frames.
-    fn decode_segment(&self, meta: &SegmentMeta) -> Result<Vec<ArchiveFrame>, ArchiveError> {
-        let payload = read_at(
-            &mut self.file.lock(),
-            meta.payload_offset(),
-            meta.header.payload_len as usize,
-        )?;
-        decode_payload(&meta.header, &payload, meta.offset)
-    }
-
     /// Reads `[start, end)` as a [`Trace`], byte-identical to what the
     /// live continuous mode produced over the same range — samples and
     /// markers both.
@@ -425,16 +547,20 @@ impl Archive {
         out: &mut Trace,
     ) -> Result<(), ArchiveError> {
         out.clear();
-        for meta in self.overlapping(start, end) {
-            for frame in self.decode_segment(meta)? {
-                if frame.time < start || frame.time >= end {
+        let metas: Vec<&SegmentMeta> = self.overlapping(start, end).collect();
+        let width = Self::decode_window_len().min(metas.len()).max(1);
+        let mut bufs: Vec<SampleBuf> = (0..width).map(|_| SampleBuf::default()).collect();
+        for window in metas.chunks(width) {
+            self.decode_window(window, &mut bufs)?;
+            for s in bufs[..window.len()].iter().flat_map(SampleBuf::samples) {
+                if s.time < start || s.time >= end {
                     continue;
                 }
                 // Same call order as the live acquisition path:
                 // sample first, then its marker.
-                out.push(frame.time, frame_total(&self.configs, &self.adc, &frame));
-                if let Some(label) = frame.marker {
-                    out.mark(frame.time, label);
+                out.push(s.time, Watts::new(s.watts));
+                if let Some(label) = s.marker {
+                    out.mark(s.time, label);
                 }
             }
         }
@@ -485,8 +611,9 @@ impl Archive {
     ) -> Result<RangeStats, ArchiveError> {
         let (start_us, end_us) = (start.as_micros(), end.as_micros());
         let mut stats = RangeStats::empty();
+        let mut buf = SampleBuf::default();
         for meta in self.overlapping(start, end) {
-            let mut decoded: Option<Vec<ArchiveFrame>> = None;
+            let mut loaded = false;
             for (bi, block) in meta.summaries.iter().enumerate() {
                 if block.last_us < start_us || block.first_us >= end_us {
                     continue;
@@ -501,20 +628,17 @@ impl Archive {
                     );
                     continue;
                 }
-                let frames = match &decoded {
-                    Some(f) => f,
-                    None => decoded.insert(self.decode_segment(meta)?),
-                };
+                let samples = buf.load(self, meta, &mut loaded)?;
                 // Per-block sequential accumulation, mirroring the
                 // writer — this is what makes fast == decoded exactly.
                 let (lo, hi) = meta.block_frames(bi);
                 let (mut count, mut sum) = (0u64, 0.0f64);
                 let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
+                for s in &samples[lo..hi] {
+                    if s.time < start || s.time >= end {
                         continue;
                     }
-                    let w = frame_total(&self.configs, &self.adc, frame).value();
+                    let w = s.watts;
                     count += 1;
                     sum += w;
                     min = min.min(w);
@@ -544,8 +668,9 @@ impl Archive {
                 *energy += (pw + w) / 2.0 * dt;
             }
         };
+        let mut buf = SampleBuf::default();
         for meta in self.overlapping(start, end) {
-            let mut decoded: Option<Vec<ArchiveFrame>> = None;
+            let mut loaded = false;
             for (bi, block) in meta.summaries.iter().enumerate() {
                 if block.last_us < start_us || block.first_us >= end_us {
                     continue;
@@ -557,18 +682,14 @@ impl Archive {
                     prev = Some((block.last_us, block.last_w));
                     continue;
                 }
-                let frames = match &decoded {
-                    Some(f) => f,
-                    None => decoded.insert(self.decode_segment(meta)?),
-                };
+                let samples = buf.load(self, meta, &mut loaded)?;
                 let (lo, hi) = meta.block_frames(bi);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
+                for s in &samples[lo..hi] {
+                    if s.time < start || s.time >= end {
                         continue;
                     }
-                    let w = frame_total(&self.configs, &self.adc, frame).value();
-                    junction(&mut energy, &prev, frame.time.as_micros(), w);
-                    prev = Some((frame.time.as_micros(), w));
+                    junction(&mut energy, &prev, s.time.as_micros(), s.watts);
+                    prev = Some((s.time.as_micros(), s.watts));
                 }
             }
         }
@@ -660,8 +781,9 @@ impl Archive {
         let trace = out;
         let (start_us, end_us) = (start.as_micros(), end.as_micros());
         let (mut count, mut sum) = (0u64, 0.0f64);
+        let mut buf = SampleBuf::default();
         for meta in self.overlapping(start, end) {
-            let mut decoded: Option<Vec<ArchiveFrame>> = None;
+            let mut loaded = false;
             for (bi, block) in meta.summaries.iter().enumerate() {
                 if block.last_us < start_us || block.first_us >= end_us {
                     continue;
@@ -679,19 +801,16 @@ impl Archive {
                     }
                     continue;
                 }
-                let frames = match &decoded {
-                    Some(f) => f,
-                    None => decoded.insert(self.decode_segment(meta)?),
-                };
+                let samples = buf.load(self, meta, &mut loaded)?;
                 let (lo, hi) = meta.block_frames(bi);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
+                for s in &samples[lo..hi] {
+                    if s.time < start || s.time >= end {
                         continue;
                     }
                     count += 1;
-                    sum += frame_total(&self.configs, &self.adc, frame).value();
+                    sum += s.watts;
                     if count == divisor {
-                        trace.push(frame.time, Watts::new(sum / divisor as f64));
+                        trace.push(s.time, Watts::new(sum / divisor as f64));
                         (count, sum) = (0, 0.0);
                     }
                 }
@@ -717,14 +836,14 @@ impl Archive {
     /// report.
     pub fn verify(&self) -> Result<VerifyReport, ArchiveError> {
         let mut report = VerifyReport::default();
-        let mut file = self.file.lock();
+        let file = &self.file;
         let file_len = file.metadata()?.len();
         let mut offset = FILE_HEADER_SIZE as u64;
         while offset < file_len {
             if offset + (SEGMENT_HEADER_SIZE + SEGMENT_TRAILER_SIZE) as u64 > file_len {
                 break;
             }
-            let hdr = read_at(&mut file, offset, SEGMENT_HEADER_SIZE)?;
+            let hdr = read_at(file, offset, SEGMENT_HEADER_SIZE)?;
             let Ok(header) = SegmentHeader::parse(&hdr, offset) else {
                 break;
             };
@@ -732,7 +851,7 @@ impl Archive {
             if offset + size > file_len {
                 break;
             }
-            let bytes = read_at(&mut file, offset, size as usize)?;
+            let bytes = read_at(file, offset, size as usize)?;
             let body_len = size as usize - SEGMENT_TRAILER_SIZE;
             if read_u32(&bytes, body_len + 4) != SEAL_MAGIC {
                 break;

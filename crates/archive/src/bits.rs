@@ -122,10 +122,27 @@ impl BitWriter {
 
 /// Reader over a [`BitWriter`] stream. Running off the end is an
 /// error (torn payloads must not decode silently).
+///
+/// The reader keeps up to 63 unread bits in a word and refills it
+/// from 8-byte little-endian loads, so a field or a whole Rice
+/// codeword costs a mask and a shift rather than a loop over bits;
+/// the unary prefix is counted with `trailing_ones`. Each read checks
+/// the stream's remaining length up front and fails exactly when the
+/// field extends past the end — the same read a bit-at-a-time reader
+/// fails on.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    pos: usize,
+    /// Stream bits from the current position on, LSB first; only the
+    /// low `avail` are counted, the bits above them are either the
+    /// stream's next bits or zero past its end.
+    word: u64,
+    /// Counted bits in `word`.
+    avail: u32,
+    /// Byte offset of the next refill load.
+    next: usize,
+    /// Bits of the stream not yet read, `word` included.
+    left: usize,
 }
 
 /// The payload bit stream ended before the decoder was done — the
@@ -133,11 +150,55 @@ pub struct BitReader<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitStreamExhausted;
 
+/// The 8 bytes at `at` as a little-endian word, zero past the end.
+fn load_le(bytes: &[u8], at: usize) -> u64 {
+    if let Some(chunk) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
+        return u64::from_le_bytes(*chunk);
+    }
+    let mut buf = [0u8; 8];
+    let tail = bytes.get(at..).unwrap_or(&[]);
+    buf[..tail.len()].copy_from_slice(tail);
+    u64::from_le_bytes(buf)
+}
+
+/// The low `n` bits set (`n <= 63`).
+const fn mask(n: u32) -> u64 {
+    (1 << n) - 1
+}
+
 impl<'a> BitReader<'a> {
+    /// The widest field a single refilled word always holds.
+    const WORD_BITS: u32 = 56;
+
     /// A reader over `bytes`, starting at bit 0 of byte 0.
     #[must_use]
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+        Self {
+            bytes,
+            word: 0,
+            avail: 0,
+            next: 0,
+            left: bytes.len() * 8,
+        }
+    }
+
+    /// Tops `word` up to at least [`Self::WORD_BITS`] counted bits.
+    #[inline]
+    fn refill(&mut self) {
+        if self.avail < Self::WORD_BITS {
+            self.word |= load_le(self.bytes, self.next) << self.avail;
+            let bytes = (63 - self.avail) / 8;
+            self.next += bytes as usize;
+            self.avail += bytes * 8;
+        }
+    }
+
+    /// Drops `n` bits (`n <= avail`) from the front of the stream.
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        self.word >>= n;
+        self.avail -= n;
+        self.left -= n as usize;
     }
 
     /// Reads one bit.
@@ -145,43 +206,67 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`BitStreamExhausted`] at end of input.
+    #[inline]
     pub fn read_bit(&mut self) -> Result<bool, BitStreamExhausted> {
-        let byte = self.bytes.get(self.pos / 8).ok_or(BitStreamExhausted)?;
-        let bit = byte >> (self.pos % 8) & 1 == 1;
-        self.pos += 1;
-        Ok(bit)
+        Ok(self.read_bits(1)? == 1)
     }
 
     /// Reads `n` bits written by [`BitWriter::push_bits`].
     ///
     /// # Errors
     ///
-    /// [`BitStreamExhausted`] at end of input.
+    /// [`BitStreamExhausted`] when fewer than `n` bits are left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`.
+    #[inline]
     pub fn read_bits(&mut self, n: u8) -> Result<u64, BitStreamExhausted> {
-        let mut value = 0u64;
-        for i in 0..n {
-            if self.read_bit()? {
-                value |= 1 << i;
-            }
+        assert!(n <= 64, "at most 64 bits per field");
+        let n = u32::from(n);
+        if n as usize > self.left {
+            return Err(BitStreamExhausted);
         }
-        Ok(value)
+        if n > Self::WORD_BITS {
+            let low = self.take(32);
+            return Ok(low | self.take(n - 32) << 32);
+        }
+        Ok(self.take(n))
+    }
+
+    /// Takes `n <= WORD_BITS` bits known to be in the stream.
+    #[inline]
+    fn take(&mut self, n: u32) -> u64 {
+        self.refill();
+        let value = self.word & mask(n);
+        self.consume(n);
+        value
     }
 
     /// Reads a Rice codeword written with parameter `k`.
     ///
     /// # Errors
     ///
-    /// [`BitStreamExhausted`] at end of input.
+    /// [`BitStreamExhausted`] when the codeword extends past the end
+    /// of input.
+    #[inline]
     pub fn read_rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted> {
-        let mut q = 0u32;
-        while q < RICE_ESCAPE_Q {
-            if !self.read_bit()? {
-                let r = self.read_bits(k)? as u32;
-                return Ok((q << k) | r);
-            }
-            q += 1;
+        // A codeword is at most 16 + 11 bits, well inside a refill.
+        self.refill();
+        let q = self.word.trailing_ones().min(RICE_ESCAPE_Q);
+        let (len, value) = if q < RICE_ESCAPE_Q {
+            let k = u32::from(k);
+            let r = (self.word >> (q + 1)) & mask(k);
+            (q + 1 + k, (q << k) | r as u32)
+        } else {
+            let raw = (self.word >> q) & mask(u32::from(RICE_ESCAPE_BITS));
+            (q + u32::from(RICE_ESCAPE_BITS), raw as u32)
+        };
+        if len as usize > self.left {
+            return Err(BitStreamExhausted);
         }
-        Ok(self.read_bits(RICE_ESCAPE_BITS)? as u32)
+        self.consume(len);
+        Ok(value)
     }
 }
 

@@ -77,14 +77,14 @@ mod meter;
 mod segment;
 mod writer;
 
-pub use archive::{Archive, RangeStats, RecoveryReport, SegmentMeta, VerifyReport};
+pub use archive::{Archive, RangeStats, RecoveryReport, SampleBuf, SegmentMeta, VerifyReport};
 pub use crc::{crc32, Crc32};
 pub use format::ArchiveError;
 pub use index::{index_path_for, ArchiveIndex, IndexSegment};
 pub use meter::ArchiveMeter;
 pub use segment::{
     build_segment, build_summaries, frame_total, parse_summaries, summarize_block, ArchiveFrame,
-    SegmentHeader, SummaryBlock,
+    Sample, SegmentHeader, SummaryBlock,
 };
 pub use writer::{
     stats_path_for, ArchiveWriter, ArchiveWriterOptions, Maintenance, SegmentWriter, WriterStats,

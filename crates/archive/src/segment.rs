@@ -33,7 +33,7 @@
 use ps3_core::SENSOR_PAIRS;
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
-use ps3_units::{SimTime, Watts};
+use ps3_units::{Amps, SimTime, Volts, Watts};
 
 use crate::bits::{unzigzag64, zigzag64, BitReader, BitWriter};
 use crate::crc::crc32;
@@ -483,7 +483,9 @@ fn push_dod(w: &mut BitWriter, dod: i128, delta: u64) {
     }
 }
 
-/// Decodes a segment payload back into its frames.
+/// Decodes a segment payload back into its frames — the reference
+/// form of the payload, for consumers that want raw codes (replay,
+/// compaction, verification).
 ///
 /// # Errors
 ///
@@ -495,124 +497,288 @@ pub fn decode_payload(
     payload: &[u8],
     abs_offset: u64,
 ) -> Result<Vec<ArchiveFrame>, ArchiveError> {
-    let corrupt = |what: &str| ArchiveError::Corrupt {
-        offset: abs_offset,
-        what: what.into(),
-    };
-    let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| header.k_for(s));
-    let mut r = BitReader::new(payload);
     let mut frames = Vec::with_capacity(header.frame_count as usize);
-    if header.frame_count == 0 {
-        return Ok(frames);
-    }
-    let mut prev_vals: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
-    let mut read_values = |r: &mut BitReader<'_>, present: u8| -> Result<_, ArchiveError> {
-        let mut raw = [0u16; SENSOR_SLOTS];
-        for slot in 0..SENSOR_SLOTS {
-            if present & (1 << slot) == 0 {
-                continue;
-            }
-            let v = match prev_vals[slot] {
-                None => r
-                    .read_bits(10)
-                    .map_err(|_| corrupt("payload ends mid-value"))? as u16,
-                Some(p) => {
-                    let zz = r
-                        .read_rice(k[slot])
-                        .map_err(|_| corrupt("payload ends mid-delta"))?;
-                    let v = i64::from(p) + unzigzag64(u64::from(zz));
-                    u16::try_from(v).map_err(|_| corrupt("value delta out of range"))?
-                }
-            };
-            raw[slot] = v;
-            prev_vals[slot] = Some(v);
-        }
-        Ok(raw)
-    };
-
-    // First frame.
-    let present = r
-        .read_bits(8)
-        .map_err(|_| corrupt("payload ends in first frame"))? as u8;
-    let marker = read_marker(&mut r).map_err(|_| corrupt("payload ends mid-marker"))?;
-    let raw = read_values(&mut r, present)?;
-    frames.push(ArchiveFrame {
-        time: SimTime::from_micros(header.start_us),
-        raw,
-        present,
-        marker,
-    });
-
-    let mut prev_time = header.start_us;
-    let mut prev_delta = DEFAULT_DELTA_US;
-    let mut prev_present = present;
-    for _ in 1..header.frame_count {
-        let fast = r
-            .read_bit()
-            .map_err(|_| corrupt("payload ends between frames"))?;
-        let (delta, present, marker) = if fast {
-            (prev_delta, prev_present, None)
-        } else {
-            let delta =
-                read_dod(&mut r, prev_delta).map_err(|_| corrupt("payload ends mid-timestamp"))?;
-            let delta = delta.ok_or_else(|| corrupt("negative timestamp delta"))?;
-            let present = if r
-                .read_bit()
-                .map_err(|_| corrupt("payload ends mid-present"))?
-            {
-                r.read_bits(8)
-                    .map_err(|_| corrupt("payload ends mid-present"))? as u8
-            } else {
-                prev_present
-            };
-            let marker = read_marker(&mut r).map_err(|_| corrupt("payload ends mid-marker"))?;
-            (delta, present, marker)
-        };
-        let time = prev_time
-            .checked_add(delta)
-            .ok_or_else(|| corrupt("timestamp overflow"))?;
-        let raw = read_values(&mut r, present)?;
+    walk_payload(header, payload, abs_offset, |time, raw, present, marker| {
         frames.push(ArchiveFrame {
-            time: SimTime::from_micros(time),
-            raw,
+            time,
+            raw: *raw,
             present,
             marker,
         });
-        prev_time = time;
-        prev_delta = delta;
-        prev_present = present;
-    }
+    })?;
     Ok(frames)
 }
 
-fn read_marker(r: &mut BitReader<'_>) -> Result<Option<char>, crate::bits::BitStreamExhausted> {
-    if !r.read_bit()? {
-        return Ok(None);
-    }
-    let code = r.read_bits(CHAR_BITS)? as u32;
-    Ok(Some(char::from_u32(code).unwrap_or('?')))
+/// One decoded sample: what the range queries consume of a frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sample {
+    /// Frame timestamp.
+    pub time: SimTime,
+    /// Total power, bit-identical to [`frame_total`] of the frame (W).
+    pub watts: f64,
+    /// Host-side marker label paired with the frame, if any.
+    pub marker: Option<char>,
 }
 
-/// Reads a delta-of-delta class; `None` when the reconstructed delta
-/// would be negative (corrupt data).
-fn read_dod(
-    r: &mut BitReader<'_>,
-    prev_delta: u64,
-) -> Result<Option<u64>, crate::bits::BitStreamExhausted> {
-    if !r.read_bit()? {
-        return Ok(Some(prev_delta));
+/// Codes a table covers: every 10-bit ADC code.
+const TABLE_CODES: usize = 1 << 10;
+
+/// Per-pair lookup tables from raw codes to amps and volts, built once
+/// per archive so the sample decoder turns a frame into watts without
+/// re-deriving either. Each entry is computed by
+/// [`ps3_core::pair_readings`]' own arithmetic, so `volts * amps`
+/// summed in pair order is bit-identical to [`frame_total`]; a code
+/// outside the table (only a hand-built payload can carry one) falls
+/// back to `pair_readings` itself.
+pub(crate) struct PairTables {
+    adc: AdcSpec,
+    /// Every pair with both slots enabled, in ascending pair order.
+    pairs: Vec<PairTable>,
+}
+
+impl std::fmt::Debug for PairTables {
+    /// The tabled pairs, not their thousands of entries.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pairs: Vec<usize> = self.pairs.iter().map(|t| t.pair).collect();
+        f.debug_struct("PairTables")
+            .field("pairs", &pairs)
+            .finish_non_exhaustive()
     }
-    let dod = if !r.read_bit()? {
-        unzigzag64(r.read_bits(8)?)
-    } else if !r.read_bit()? {
-        unzigzag64(r.read_bits(16)?)
-    } else if !r.read_bit()? {
-        unzigzag64(r.read_bits(32)?)
-    } else {
-        return Ok(Some(r.read_bits(64)?));
+}
+
+struct PairTable {
+    pair: usize,
+    i_cfg: SensorConfig,
+    u_cfg: SensorConfig,
+    /// Amps by current-slot code.
+    amps: Box<[f64]>,
+    /// Volts by voltage-slot code.
+    volts: Box<[f64]>,
+}
+
+impl PairTables {
+    pub(crate) fn new(configs: &[SensorConfig; SENSOR_SLOTS], adc: &AdcSpec) -> Self {
+        let pairs = (0..SENSOR_PAIRS)
+            .filter(|&p| configs[2 * p].enabled && configs[2 * p + 1].enabled)
+            .map(|pair| {
+                let (i_cfg, u_cfg) = (configs[2 * pair].clone(), configs[2 * pair + 1].clone());
+                // Amps depend only on the current code, volts only on
+                // the voltage code.
+                let reading = |code: usize| {
+                    let code = code as u16;
+                    ps3_core::pair_readings(&i_cfg, &u_cfg, adc, code, code)
+                };
+                let amps = (0..TABLE_CODES).map(|c| reading(c).1.value()).collect();
+                let volts = (0..TABLE_CODES).map(|c| reading(c).0.value()).collect();
+                PairTable {
+                    pair,
+                    i_cfg,
+                    u_cfg,
+                    amps,
+                    volts,
+                }
+            })
+            .collect();
+        Self { adc: *adc, pairs }
+    }
+
+    /// [`frame_total`] of a frame with these codes and presence.
+    #[inline]
+    fn total(&self, raw: &[u16; SENSOR_SLOTS], present: u8) -> f64 {
+        let mut total = Watts::zero();
+        for t in &self.pairs {
+            if present >> (2 * t.pair) & 0b11 != 0b11 {
+                continue;
+            }
+            let (raw_i, raw_u) = (raw[2 * t.pair], raw[2 * t.pair + 1]);
+            total += match (
+                t.amps.get(usize::from(raw_i)),
+                t.volts.get(usize::from(raw_u)),
+            ) {
+                (Some(&amps), Some(&volts)) => Volts::new(volts) * Amps::new(amps),
+                _ => ps3_core::pair_readings(&t.i_cfg, &t.u_cfg, &self.adc, raw_i, raw_u).2,
+            };
+        }
+        total.value()
+    }
+}
+
+/// Decodes a segment payload straight into samples (cleared first):
+/// the frame walk of [`decode_payload`] with each frame's total power
+/// taken from `tables` instead of materialising the frame.
+///
+/// # Errors
+///
+/// As [`decode_payload`].
+pub(crate) fn decode_samples(
+    header: &SegmentHeader,
+    payload: &[u8],
+    abs_offset: u64,
+    tables: &PairTables,
+    out: &mut Vec<Sample>,
+) -> Result<(), ArchiveError> {
+    // Push into a vector header on this thread's stack: buffers of
+    // neighbouring segments decoding on other threads share cache
+    // lines, and writing the caller's header per push would bounce
+    // them between cores.
+    let mut samples = std::mem::take(out);
+    samples.clear();
+    samples.reserve(header.frame_count as usize);
+    let walked = walk_payload(header, payload, abs_offset, |time, raw, present, marker| {
+        samples.push(Sample {
+            time,
+            watts: tables.total(raw, present),
+            marker,
+        });
+    });
+    *out = samples;
+    walked
+}
+
+/// The payload parser: walks every frame of a segment in order and
+/// hands `emit` its time, raw codes (0 where absent), presence mask and
+/// marker.
+fn walk_payload(
+    header: &SegmentHeader,
+    payload: &[u8],
+    abs_offset: u64,
+    emit: impl FnMut(SimTime, &[u16; SENSOR_SLOTS], u8, Option<char>),
+) -> Result<(), ArchiveError> {
+    walk_frames(header, payload, emit).map_err(|what| ArchiveError::Corrupt {
+        offset: abs_offset,
+        what: what.into(),
+    })
+}
+
+fn walk_frames(
+    header: &SegmentHeader,
+    payload: &[u8],
+    mut emit: impl FnMut(SimTime, &[u16; SENSOR_SLOTS], u8, Option<char>),
+) -> Walked<()> {
+    let mut walk = PayloadWalk {
+        r: BitReader::new(payload),
+        k: core::array::from_fn(|s| header.k_for(s)),
+        prev_vals: [0; SENSOR_SLOTS],
+        seen: 0,
     };
-    let delta = i128::from(prev_delta) + i128::from(dod);
-    Ok(u64::try_from(delta).ok())
+    let mut prev_time = header.start_us;
+    let mut prev_delta = DEFAULT_DELTA_US;
+    let mut prev_present = 0;
+    // One loop with the first frame as its first turn keeps a single
+    // `emit` call site, which the compiler inlines.
+    for n in 0..header.frame_count {
+        let (time, present, marker) = if n == 0 {
+            let present = walk.bits(8, "payload ends in first frame")? as u8;
+            (header.start_us, present, walk.marker()?)
+        } else {
+            let fast = walk.bit("payload ends between frames")?;
+            let (delta, present, marker) = if fast {
+                (prev_delta, prev_present, None)
+            } else {
+                let delta = walk.dod(prev_delta)?;
+                let present = if walk.bit("payload ends mid-present")? {
+                    walk.bits(8, "payload ends mid-present")? as u8
+                } else {
+                    prev_present
+                };
+                (delta, present, walk.marker()?)
+            };
+            prev_delta = delta;
+            let time = prev_time.checked_add(delta).ok_or("timestamp overflow")?;
+            (time, present, marker)
+        };
+        let raw = walk.values(present)?;
+        emit(SimTime::from_micros(time), &raw, present, marker);
+        prev_time = time;
+        prev_present = present;
+    }
+    Ok(())
+}
+
+/// The decoder state of one payload walk. Its methods are forced
+/// inline so the bit reader's state stays in registers across the
+/// whole frame loop.
+struct PayloadWalk<'a> {
+    r: BitReader<'a>,
+    /// Rice parameter per slot.
+    k: [u8; SENSOR_SLOTS],
+    /// Each slot's last value, the base of its next delta.
+    prev_vals: [u16; SENSOR_SLOTS],
+    /// Slots holding a last value.
+    seen: u8,
+}
+
+/// What went wrong in a payload walk; becomes [`ArchiveError::Corrupt`].
+type Walked<T> = Result<T, &'static str>;
+
+impl PayloadWalk<'_> {
+    #[inline(always)]
+    fn bit(&mut self, what: &'static str) -> Walked<bool> {
+        self.r.read_bit().map_err(|_| what)
+    }
+
+    #[inline(always)]
+    fn bits(&mut self, n: u8, what: &'static str) -> Walked<u64> {
+        self.r.read_bits(n).map_err(|_| what)
+    }
+
+    /// The raw codes of one frame's present slots (0 where absent):
+    /// 10 raw bits for a slot's first value, a Rice-coded zigzag delta
+    /// from its last value after that.
+    #[inline(always)]
+    fn values(&mut self, present: u8) -> Walked<[u16; SENSOR_SLOTS]> {
+        let mut raw = [0u16; SENSOR_SLOTS];
+        let mut slots = present;
+        while slots != 0 {
+            let slot = slots.trailing_zeros() as usize;
+            slots &= slots - 1;
+            let v = if self.seen & (1 << slot) == 0 {
+                self.bits(10, "payload ends mid-value")? as u16
+            } else {
+                let zz = self
+                    .r
+                    .read_rice(self.k[slot])
+                    .map_err(|_| "payload ends mid-delta")?;
+                let v = i64::from(self.prev_vals[slot]) + unzigzag64(u64::from(zz));
+                u16::try_from(v).map_err(|_| "value delta out of range")?
+            };
+            raw[slot] = v;
+            self.prev_vals[slot] = v;
+        }
+        self.seen |= present;
+        Ok(raw)
+    }
+
+    /// A marker flag bit plus, when set, the label.
+    #[inline(always)]
+    fn marker(&mut self) -> Walked<Option<char>> {
+        if !self.bit("payload ends mid-marker")? {
+            return Ok(None);
+        }
+        let code = self.bits(CHAR_BITS, "payload ends mid-marker")? as u32;
+        Ok(Some(char::from_u32(code).unwrap_or('?')))
+    }
+
+    /// The next inter-frame delta from a delta-of-delta class (see
+    /// [`push_dod`]).
+    #[inline(always)]
+    fn dod(&mut self, prev_delta: u64) -> Walked<u64> {
+        const WHAT: &str = "payload ends mid-timestamp";
+        if !self.bit(WHAT)? {
+            return Ok(prev_delta);
+        }
+        let dod = if !self.bit(WHAT)? {
+            unzigzag64(self.bits(8, WHAT)?)
+        } else if !self.bit(WHAT)? {
+            unzigzag64(self.bits(16, WHAT)?)
+        } else if !self.bit(WHAT)? {
+            unzigzag64(self.bits(32, WHAT)?)
+        } else {
+            return self.bits(64, WHAT);
+        };
+        let delta = i128::from(prev_delta) + i128::from(dod);
+        u64::try_from(delta).map_err(|_| "negative timestamp delta")
+    }
 }
 
 #[cfg(test)]

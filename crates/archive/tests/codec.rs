@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use ps3_archive::bits::{
     unzigzag64, zigzag64, BitReader, BitWriter, RICE_ESCAPE_BITS, RICE_ESCAPE_Q,
 };
-use ps3_archive::{Archive, ArchiveFrame, SegmentWriter};
+use ps3_archive::{build_segment, frame_total, Archive, ArchiveFrame, SegmentWriter};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
 
@@ -217,4 +217,262 @@ proptest! {
         }
         dod_roundtrip(&times, "prop");
     }
+}
+
+/// The bit-at-a-time reader the buffered [`BitReader`] replaced, kept
+/// as the reference for where a truncated stream runs out: one bit per
+/// step, failing on the first bit past the end.
+struct BitAtATime<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl BitAtATime<'_> {
+    fn read_bit(&mut self) -> Option<bool> {
+        let byte = self.bytes.get(self.pos / 8)?;
+        self.pos += 1;
+        Some(byte >> ((self.pos - 1) % 8) & 1 == 1)
+    }
+
+    fn read_bits(&mut self, n: u8) -> Option<u64> {
+        let mut value = 0u64;
+        for i in 0..n {
+            if self.read_bit()? {
+                value |= 1 << i;
+            }
+        }
+        Some(value)
+    }
+
+    fn read_rice(&mut self, k: u8) -> Option<u32> {
+        for q in 0..RICE_ESCAPE_Q {
+            if !self.read_bit()? {
+                return Some((q << k) | self.read_bits(k)? as u32);
+            }
+        }
+        Some(self.read_bits(RICE_ESCAPE_BITS)? as u32)
+    }
+}
+
+/// One field of a random bit stream.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    Bit(bool),
+    Bits(u64, u8),
+    Rice(u32, u8),
+}
+
+impl Field {
+    /// Field `kind % 3` drawn from `raw`: a bit, 1–64 raw bits, or a
+    /// Rice codeword at k = 0–10 (escapes included).
+    fn new(kind: u8, raw: u64, width: u8, k: u8) -> Self {
+        match kind % 3 {
+            0 => Self::Bit(raw & 1 == 1),
+            1 => Self::Bits(
+                if width == 64 {
+                    raw
+                } else {
+                    raw & ((1 << width) - 1)
+                },
+                width,
+            ),
+            _ => Self::Rice((raw % u64::from(RICE_MAX + 1)) as u32, k),
+        }
+    }
+
+    fn write(self, w: &mut BitWriter) {
+        match self {
+            Self::Bit(b) => w.push_bit(b),
+            Self::Bits(v, n) => w.push_bits(v, n),
+            Self::Rice(v, k) => w.push_rice(v, k),
+        }
+    }
+
+    /// Reads this field's shape back through the buffered reader.
+    fn read(self, r: &mut BitReader<'_>) -> Option<u64> {
+        match self {
+            Self::Bit(_) => r.read_bit().ok().map(u64::from),
+            Self::Bits(_, n) => r.read_bits(n).ok(),
+            Self::Rice(_, k) => r.read_rice(k).ok().map(u64::from),
+        }
+    }
+
+    /// Reads this field's shape back through the reference reader.
+    fn read_reference(self, r: &mut BitAtATime<'_>) -> Option<u64> {
+        match self {
+            Self::Bit(_) => r.read_bit().map(u64::from),
+            Self::Bits(_, n) => r.read_bits(n),
+            Self::Rice(_, k) => r.read_rice(k).map(u64::from),
+        }
+    }
+
+    fn value(self) -> u64 {
+        match self {
+            Self::Bit(b) => u64::from(b),
+            Self::Bits(v, _) => v,
+            Self::Rice(v, _) => u64::from(v),
+        }
+    }
+}
+
+proptest! {
+    /// Random mixes of single bits, 1–64-bit fields and Rice codewords
+    /// read back identically through the buffered reader; and on every
+    /// truncated prefix of the stream it fails on exactly the read the
+    /// bit-at-a-time reference fails on, after agreeing on every read
+    /// before it.
+    #[test]
+    fn buffered_reader_matches_the_bit_at_a_time_reference(
+        raw in proptest::collection::vec((0u8..3, 0u64..=u64::MAX, 1u8..=64, 0u8..=10), 0..120),
+    ) {
+        let fields: Vec<Field> = raw.iter().map(|&(kind, v, n, k)| Field::new(kind, v, n, k)).collect();
+        let mut w = BitWriter::new();
+        for &f in &fields {
+            f.write(&mut w);
+        }
+        let bytes = w.finish();
+
+        let mut r = BitReader::new(&bytes);
+        for &f in &fields {
+            prop_assert_eq!(f.read(&mut r), Some(f.value()), "{:?}", f);
+        }
+
+        for len in 0..bytes.len() {
+            let prefix = &bytes[..len];
+            let (mut r, mut reference) = (BitReader::new(prefix), BitAtATime { bytes: prefix, pos: 0 });
+            let mut failed = false;
+            for (i, &f) in fields.iter().enumerate() {
+                let got = f.read(&mut r);
+                prop_assert_eq!(got, f.read_reference(&mut reference), "prefix {} field {} {:?}", len, i, f);
+                if got.is_none() {
+                    failed = true;
+                    break;
+                }
+            }
+            prop_assert!(failed || fields.is_empty(), "a {len}-byte prefix read every field");
+        }
+    }
+}
+
+/// Checks [`Archive::decode_samples_into`] against the reference
+/// decode, frame by frame: same times and markers, and watts with the
+/// same bits as [`frame_total`] of the decoded frame. Returns the
+/// frames checked.
+fn assert_samples_match_reference(archive: &Archive) -> usize {
+    let (mut payload, mut samples) = (Vec::new(), Vec::new());
+    let mut checked = 0;
+    for meta in archive.segments() {
+        let frames = archive.decode_segment_frames(meta).unwrap();
+        archive
+            .decode_samples_into(meta, &mut payload, &mut samples)
+            .unwrap();
+        assert_eq!(samples.len(), frames.len());
+        for (s, f) in samples.iter().zip(&frames) {
+            let want = frame_total(archive.configs(), archive.adc(), f).value();
+            assert_eq!(s.time, f.time);
+            assert_eq!(s.marker, f.marker);
+            assert_eq!(s.watts.to_bits(), want.to_bits(), "{f:?}");
+        }
+        checked += frames.len();
+    }
+    checked
+}
+
+/// Pair 0 and 1 enabled, pair 2 with its voltage slot disabled, pair 3
+/// unpopulated.
+fn mixed_configs() -> [SensorConfig; SENSOR_SLOTS] {
+    let mut configs = test_configs();
+    configs[2] = SensorConfig::new("I1", 3.3, 0.063, true);
+    configs[3] = SensorConfig::new("U1", 3.3, 1.0, true);
+    configs[4] = SensorConfig::new("I2", 3.3, 0.12, true);
+    configs[5] = SensorConfig::new("U2", 3.3, 5.0, false);
+    configs
+}
+
+proptest! {
+    /// The sample decoder's watts are bit-identical to `frame_total`
+    /// over the reference decode, across changing presence masks
+    /// (slots of disabled pairs included), markers and irregular
+    /// timestamps.
+    #[test]
+    fn sample_decoder_matches_frame_total(
+        spec in proptest::collection::vec((0u64..100, 0u8..=255, 0u8..40, 0u64..=u64::MAX), 1..3000),
+        segment_frames in 50usize..1500,
+    ) {
+        let path = temp_path("samples");
+        let mut writer = SegmentWriter::create_with(&path, mixed_configs(), segment_frames).unwrap();
+        let mut time_us = 25u64;
+        let mut present = 0b1111u8;
+        for (i, &(step, mask, marker, noise)) in spec.iter().enumerate() {
+            time_us += match step {
+                0..=79 => 50,
+                80..=94 => step,
+                _ => 100_000 + noise % 1_000_000,
+            };
+            if i % 64 == 0 {
+                present = mask;
+            }
+            let mut raw = [0u16; SENSOR_SLOTS];
+            for (slot, r) in raw.iter_mut().enumerate() {
+                if present & (1 << slot) != 0 {
+                    *r = 400 + (noise >> (8 * slot) & 0xFF) as u16 + if step < 40 { 300 } else { 0 };
+                }
+            }
+            writer
+                .push(ArchiveFrame {
+                    time: SimTime::from_micros(time_us),
+                    raw,
+                    present,
+                    marker: (marker == 0).then(|| char::from(b'a' + (i % 26) as u8)),
+                })
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let archive = Archive::open(&path).unwrap();
+        prop_assert_eq!(assert_samples_match_reference(&archive), spec.len());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    }
+}
+
+/// Codes above the 10-bit range only reach the decoder from a
+/// hand-built payload (a first value of 1000, then deltas upward); the
+/// sample decoder must fall back to `pair_readings` for them and still
+/// match `frame_total` bit for bit.
+#[test]
+fn sample_decoder_falls_back_beyond_the_code_tables() {
+    let configs = mixed_configs();
+    let frames: Vec<ArchiveFrame> = (0..40u16)
+        .map(|i| {
+            let mut raw = [0u16; SENSOR_SLOTS];
+            raw[0] = 1000 + 25 * i;
+            raw[1] = 900 + 30 * i;
+            raw[2] = 512;
+            raw[3] = 1000 + 10 * i;
+            ArchiveFrame {
+                time: SimTime::from_micros(25 + 50 * u64::from(i)),
+                raw,
+                present: 0b1111,
+                marker: (i == 7).then_some('x'),
+            }
+        })
+        .collect();
+    let adc = ps3_sensors::AdcSpec::POWERSENSOR3;
+    let watts: Vec<f64> = frames
+        .iter()
+        .map(|f| frame_total(&configs, &adc, f).value())
+        .collect();
+    let path = temp_path("wide-codes");
+    let mut bytes = ps3_archive::format::encode_file_header(&configs);
+    bytes.extend(build_segment(0, &frames, &watts));
+    std::fs::write(&path, bytes).unwrap();
+
+    let archive = Archive::open(&path).unwrap();
+    let decoded = archive
+        .decode_segment_frames(&archive.segments()[0])
+        .unwrap();
+    assert_eq!(decoded, frames, "the payload carries the wide codes");
+    assert!(decoded.iter().any(|f| f.raw.iter().any(|&c| c >= 1024)));
+    assert_eq!(assert_samples_match_reference(&archive), frames.len());
+    std::fs::remove_file(&path).ok();
 }

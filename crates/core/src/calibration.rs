@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use ps3_firmware::SensorConfig;
+use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_units::Volts;
 
@@ -67,12 +67,23 @@ pub fn calibrate_pair(
     if pair >= SENSOR_PAIRS {
         return Err(PowerSensorError::InvalidSensor(pair));
     }
+    let means = ps.begin_raw_capture(frames).wait(wait_timeout)?;
+    apply_calibration(ps, pair, reference_voltage, frames, &means)
+}
+
+/// The second half of [`calibrate_pair`]: derives one pair's
+/// corrections from the mean raw codes of a `frames`-frame capture and
+/// writes both to the device.
+pub(crate) fn apply_calibration(
+    ps: &PowerSensor,
+    pair: usize,
+    reference_voltage: Volts,
+    frames: usize,
+    means: &[f64; SENSOR_SLOTS],
+) -> Result<CalibrationReport, PowerSensorError> {
     let configs = ps.configs();
     let i_cfg = configs[2 * pair].clone();
     let u_cfg = configs[2 * pair + 1].clone();
-
-    let capture = ps.begin_raw_capture(frames);
-    let means = capture.wait(wait_timeout)?;
     let adc = AdcSpec::POWERSENSOR3;
 
     // Current sensor: at 0 A the output should sit at vref/2. Whatever

@@ -213,15 +213,16 @@ pub fn autocalibrate(
         if !(configs[2 * pair].enabled && configs[2 * pair + 1].enabled) {
             continue;
         }
-        // Kick the capture off, then advance enough device time to
-        // cover it (frames × 50 µs), then collect.
-        let handle = std::thread::scope(|scope| {
-            let worker =
-                scope.spawn(|| crate::calibrate_pair(ps, pair, reference, frames, TOOL_TIMEOUT));
-            advance(SimDuration::from_micros(frames as u64 * 50 + 1000));
-            worker.join().expect("calibration thread panicked")
-        });
-        reports.push(handle?);
+        // Start the capture before the device advances, so that no
+        // frame of the advance can pass before the capture counts it;
+        // then advance enough device time to cover it (frames × 50 µs)
+        // and collect.
+        let capture = ps.begin_raw_capture(frames);
+        advance(SimDuration::from_micros(frames as u64 * 50 + 1000));
+        let means = capture.wait(TOOL_TIMEOUT)?;
+        reports.push(crate::calibration::apply_calibration(
+            ps, pair, reference, frames, &means,
+        )?);
     }
     Ok(reports)
 }

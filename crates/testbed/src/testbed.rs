@@ -156,8 +156,13 @@ impl<D: Dut + 'static> TestbedBuilder<D> {
                         if device.clock() < target {
                             let chunk_end = (device.clock() + chunk).min(target);
                             device.run_until(&dev_end, chunk_end);
-                            clock_ns.store(device.clock().as_nanos(), Ordering::SeqCst);
+                            // Frames before the clock: `sync` reads the
+                            // clock first and then the frame count, so
+                            // once it sees the target clock the count
+                            // it reads must already include the frames
+                            // of the chunk that reached it.
                             frames.store(device.frames_emitted(), Ordering::SeqCst);
+                            clock_ns.store(device.clock().as_nanos(), Ordering::SeqCst);
                         } else {
                             device.process_commands(&dev_end);
                             std::thread::sleep(Duration::from_micros(200));
@@ -379,6 +384,21 @@ mod tests {
         tb.sync(&ps).unwrap();
         assert!(tb.device_time() >= SimTime::from_micros(5_000));
         assert_eq!(ps.frames_received(), tb.frames_emitted());
+    }
+
+    #[test]
+    fn every_sync_holds_exactly_the_step_frames() {
+        // 1 ms steps at the 50 µs frame interval: 20 frames each. A
+        // sync that saw the target clock before the frame count it
+        // belongs to would return one chunk short.
+        let mut tb = twelve_volt_two_amp().build();
+        let ps = tb.connect().unwrap();
+        for k in 1..=2000u64 {
+            tb.advance_and_sync(&ps, SimDuration::from_millis(1))
+                .unwrap();
+            assert_eq!(tb.frames_emitted(), k * 20, "step {k}: emitted");
+            assert_eq!(ps.frames_received(), k * 20, "step {k}: received");
+        }
     }
 
     #[test]

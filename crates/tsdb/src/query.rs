@@ -29,12 +29,14 @@
 //! Per-segment work for `stats` and `energy` fans out over the
 //! `compat/rayon` pool; the fold across segments is sequential in
 //! segment order, so results never depend on thread count.
+//! `downsample` decodes the segments its walk needs in windows over
+//! the same pool ([`Archive::decode_window`]) and folds them in order.
 
 use ps3_analysis::Trace;
 use ps3_archive::format::SUMMARY_FRAMES;
 use ps3_archive::{
-    build_summaries, frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentMeta,
-    SummaryBlock,
+    build_summaries, frame_total, Archive, ArchiveError, RangeStats, Sample, SampleBuf,
+    SegmentMeta, SummaryBlock,
 };
 use ps3_units::{Joules, SimTime, Watts};
 
@@ -118,12 +120,12 @@ fn block_frames(meta: &SegmentMeta, bi: usize) -> (usize, usize) {
 }
 
 /// A segment's tier view for one query: stored pyramid + stored
-/// summaries (fast path), or everything recomputed from decoded frames
-/// (the `*_ref` reference path).
+/// summaries (fast path), or everything recomputed from the reference
+/// frame decode (the `*_ref` reference path), samples included.
 struct SegView {
     summaries_owned: Option<Vec<SummaryBlock>>,
     pyramid_owned: Option<SegmentPyramid>,
-    decoded: Option<Vec<ArchiveFrame>>,
+    samples: Option<Vec<Sample>>,
 }
 
 /// Per-segment energy partial: junction endpoints plus interior sum.
@@ -257,7 +259,7 @@ impl Tsdb {
             return Ok(SegView {
                 summaries_owned: None,
                 pyramid_owned: None,
-                decoded: None,
+                samples: None,
             });
         }
         let meta = &self.archive.segments()[i];
@@ -268,10 +270,19 @@ impl Tsdb {
             .collect();
         let summaries = build_summaries(&frames, &watts);
         let pyramid = SegmentPyramid::build(meta.header.seq, &summaries, self.config);
+        let samples = frames
+            .iter()
+            .zip(watts)
+            .map(|(f, watts)| Sample {
+                time: f.time,
+                watts,
+                marker: f.marker,
+            })
+            .collect();
         Ok(SegView {
             summaries_owned: Some(summaries),
             pyramid_owned: Some(pyramid),
-            decoded: Some(frames),
+            samples: Some(samples),
         })
     }
 
@@ -289,17 +300,18 @@ impl Tsdb {
         }
     }
 
-    fn ensure_decoded<'a>(
+    /// The samples of a segment for an edge walk: the reference
+    /// view's own, or decoded into `buf` once per walk (`loaded`).
+    fn samples<'a>(
         &self,
         meta: &SegmentMeta,
-        decoded: &'a mut Option<Vec<ArchiveFrame>>,
-    ) -> Result<&'a Vec<ArchiveFrame>, ArchiveError> {
-        match decoded {
-            Some(frames) => Ok(frames),
-            None => {
-                *decoded = Some(self.archive.decode_segment_frames(meta)?);
-                Ok(decoded.as_ref().expect("just inserted"))
-            }
+        view: &'a SegView,
+        buf: &'a mut SampleBuf,
+        loaded: &mut bool,
+    ) -> Result<&'a [Sample], ArchiveError> {
+        match &view.samples {
+            Some(samples) => Ok(samples),
+            None => buf.load(&self.archive, meta, loaded),
         }
     }
 
@@ -349,8 +361,8 @@ impl Tsdb {
         stored: bool,
     ) -> Result<RangeStats, ArchiveError> {
         let meta = &self.archive.segments()[i];
-        let mut view = self.seg_view(i, stored)?;
-        let mut decoded = view.decoded.take();
+        let view = self.seg_view(i, stored)?;
+        let (mut buf, mut loaded) = (SampleBuf::default(), false);
         let (summaries, pyr) = self.view_parts(i, &view);
         let (start_us, end_us) = (start.as_micros(), end.as_micros());
         let bounds = block_bounds(summaries, start_us, end_us);
@@ -367,15 +379,15 @@ impl Tsdb {
             }
             // Range edge: per-block sequential accumulation over the
             // decoded frames, mirroring `Archive::stats`.
-            let frames = self.ensure_decoded(meta, &mut decoded)?;
+            let samples = self.samples(meta, &view, &mut buf, &mut loaded)?;
             let (lo, hi) = block_frames(meta, bi);
             let (mut count, mut sum) = (0u64, 0.0f64);
             let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-            for frame in &frames[lo..hi] {
-                if frame.time < start || frame.time >= end {
+            for s in &samples[lo..hi] {
+                if s.time < start || s.time >= end {
                     continue;
                 }
-                let w = frame_total(self.archive.configs(), self.archive.adc(), frame).value();
+                let w = s.watts;
                 count += 1;
                 sum += w;
                 min = min.min(w);
@@ -437,8 +449,8 @@ impl Tsdb {
         stored: bool,
     ) -> Result<SegEnergy, ArchiveError> {
         let meta = &self.archive.segments()[i];
-        let mut view = self.seg_view(i, stored)?;
-        let mut decoded = view.decoded.take();
+        let view = self.seg_view(i, stored)?;
+        let (mut buf, mut loaded) = (SampleBuf::default(), false);
         let (summaries, pyr) = self.view_parts(i, &view);
         let (start_us, end_us) = (start.as_micros(), end.as_micros());
         let bounds = block_bounds(summaries, start_us, end_us);
@@ -462,14 +474,13 @@ impl Tsdb {
                 bi = next;
                 continue;
             }
-            let frames = self.ensure_decoded(meta, &mut decoded)?;
+            let samples = self.samples(meta, &view, &mut buf, &mut loaded)?;
             let (lo, hi) = block_frames(meta, bi);
-            for frame in &frames[lo..hi] {
-                if frame.time < start || frame.time >= end {
+            for s in &samples[lo..hi] {
+                if s.time < start || s.time >= end {
                     continue;
                 }
-                let w = frame_total(self.archive.configs(), self.archive.adc(), frame).value();
-                let t_us = frame.time.as_micros();
+                let (t_us, w) = (s.time.as_micros(), s.watts);
                 junction(&mut out.energy, &out.last, t_us, w);
                 if out.first.is_none() {
                     out.first = Some((t_us, w));
@@ -605,63 +616,168 @@ impl Tsdb {
             return self.archive.read_range_into(start, end, out);
         }
         out.clear();
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let (mut count, mut sum) = (0u64, 0.0f64);
-        // Bucket state carries across segments, so this walk is
-        // inherently sequential in segment order.
-        for i in self.overlap_indices(start, end) {
-            let meta = &self.archive.segments()[i];
-            let mut view = self.seg_view(i, stored)?;
-            let mut decoded = view.decoded.take();
-            let (summaries, pyr) = self.view_parts(i, &view);
-            let bounds = block_bounds(summaries, start_us, end_us);
-            let mut bi = bounds.o_lo;
-            while bi < bounds.o_hi {
-                if bi >= bounds.f_lo && bi < bounds.f_hi {
-                    if let Some((node, next)) = pick_node(
-                        summaries,
-                        pyr,
-                        self.config,
-                        bi,
-                        bounds.f_hi,
-                        divisor - count,
-                    ) {
-                        count += node.count;
-                        sum += node.sum_w;
-                        if count == divisor {
-                            out.push(
-                                SimTime::from_micros(node.last_us),
-                                Watts::new(sum / divisor as f64),
-                            );
-                            (count, sum) = (0, 0.0);
-                        }
-                        bi = next;
-                        continue;
-                    }
+        let mut read = DownsampleRead {
+            start,
+            end,
+            divisor,
+            stored,
+            count: 0,
+            sum: 0.0,
+            out,
+        };
+        // Bucket state carries across segments, so the fold is
+        // sequential in segment order. The decoding is not: each
+        // window of segments is planned from the bucket state it
+        // starts in, the segments the fold walks frame by frame are
+        // decoded together over the pool, then all are folded in
+        // order.
+        let segs = self.overlap_indices(start, end);
+        let width = Archive::decode_window_len().min(segs.len()).max(1);
+        // One buffer per decoded segment of a window, plus a spare for
+        // a walk the plan did not foresee.
+        let mut bufs: Vec<SampleBuf> = (0..=width).map(|_| SampleBuf::default()).collect();
+        let mut next = 0;
+        while next < segs.len() {
+            let window = self.plan_window(&segs[next..], width, &read);
+            let metas: Vec<&SegmentMeta> = window
+                .iter()
+                .filter(|&&(_, decode)| decode)
+                .map(|&(i, _)| &self.archive.segments()[i])
+                .collect();
+            self.archive.decode_window(&metas, &mut bufs)?;
+            let (decoded, spare) = bufs.split_at_mut(width);
+            let mut decoded = decoded.iter_mut();
+            for &(i, decode) in &window {
+                match decode.then(|| decoded.next()).flatten() {
+                    Some(buf) => self.downsample_segment(i, &mut read, buf, true)?,
+                    None => self.downsample_segment(i, &mut read, &mut spare[0], false)?,
                 }
-                // Edge block, or a block too large for the open
-                // bucket: per-frame, mirroring `Archive::downsample`.
-                let frames = self.ensure_decoded(meta, &mut decoded)?;
-                let (lo, hi) = block_frames(meta, bi);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
-                        continue;
-                    }
-                    count += 1;
-                    sum += frame_total(self.archive.configs(), self.archive.adc(), frame).value();
-                    if count == divisor {
-                        out.push(frame.time, Watts::new(sum / divisor as f64));
-                        (count, sum) = (0, 0.0);
-                    }
-                }
-                bi += 1;
             }
+            next += window.len();
         }
+        let (start_us, end_us) = (start.as_micros(), end.as_micros());
         for &(t_us, label) in self.archive.markers() {
             if t_us >= start_us && t_us < end_us {
-                out.mark(SimTime::from_micros(t_us), label);
+                read.out.mark(SimTime::from_micros(t_us), label);
             }
         }
         Ok(())
+    }
+
+    /// The next window of a downsampled read: up to `width` of `segs`,
+    /// each with whether its walk decodes it, planned from the
+    /// summaries alone by replaying the walk's node choices from the
+    /// open bucket. The window ends early where the bucket count
+    /// after a segment is unknown without decoding (a block the range
+    /// cuts), and the reference path, which recomputes every view,
+    /// plans one segment at a time without decoding ahead.
+    fn plan_window(
+        &self,
+        segs: &[usize],
+        width: usize,
+        read: &DownsampleRead,
+    ) -> Vec<(usize, bool)> {
+        let (start_us, end_us) = (read.start.as_micros(), read.end.as_micros());
+        let mut window = Vec::with_capacity(width);
+        let mut count = read.count;
+        for &i in segs.iter().take(width) {
+            if !read.stored {
+                return vec![(i, false)];
+            }
+            let summaries = &self.archive.segments()[i].summaries;
+            let pyr = &self.pyramid.segments[i];
+            let bounds = block_bounds(summaries, start_us, end_us);
+            let mut decode = false;
+            let mut bi = bounds.o_lo;
+            while bi < bounds.o_hi {
+                if bi < bounds.f_lo || bi >= bounds.f_hi {
+                    window.push((i, true));
+                    return window;
+                }
+                let remaining = read.divisor - count;
+                if let Some((node, next)) =
+                    pick_node(summaries, pyr, self.config, bi, bounds.f_hi, remaining)
+                {
+                    count = (count + node.count) % read.divisor;
+                    bi = next;
+                } else {
+                    decode = true;
+                    count = (count + u64::from(summaries[bi].count)) % read.divisor;
+                    bi += 1;
+                }
+            }
+            window.push((i, decode));
+        }
+        window
+    }
+
+    /// Folds segment `i` into a downsampled read: whole pyramid nodes
+    /// where they fit the open bucket, frame by frame elsewhere,
+    /// mirroring `Archive::downsample`. `buf` holds the segment's
+    /// samples when `loaded`, else receives them if the walk needs
+    /// them.
+    fn downsample_segment(
+        &self,
+        i: usize,
+        read: &mut DownsampleRead,
+        buf: &mut SampleBuf,
+        mut loaded: bool,
+    ) -> Result<(), ArchiveError> {
+        let meta = &self.archive.segments()[i];
+        let view = self.seg_view(i, read.stored)?;
+        let (summaries, pyr) = self.view_parts(i, &view);
+        let bounds = block_bounds(summaries, read.start.as_micros(), read.end.as_micros());
+        let mut bi = bounds.o_lo;
+        while bi < bounds.o_hi {
+            if bi >= bounds.f_lo && bi < bounds.f_hi {
+                let remaining = read.divisor - read.count;
+                if let Some((node, next)) =
+                    pick_node(summaries, pyr, self.config, bi, bounds.f_hi, remaining)
+                {
+                    read.add(node.count, node.sum_w, SimTime::from_micros(node.last_us));
+                    bi = next;
+                    continue;
+                }
+            }
+            // Edge block, or a block too large for the open bucket:
+            // per-frame, mirroring `Archive::downsample`.
+            let samples = self.samples(meta, &view, buf, &mut loaded)?;
+            let (lo, hi) = block_frames(meta, bi);
+            for s in &samples[lo..hi] {
+                if s.time >= read.start && s.time < read.end {
+                    read.add(1, s.watts, s.time);
+                }
+            }
+            bi += 1;
+        }
+        Ok(())
+    }
+}
+
+/// A downsampled read in progress: its range and divisor, the open
+/// bucket, and the trace the closed buckets go to.
+struct DownsampleRead<'a> {
+    start: SimTime,
+    end: SimTime,
+    divisor: u64,
+    /// Stored tiers, or the reference path's recomputed ones.
+    stored: bool,
+    /// Frames in the open bucket, and their power sum.
+    count: u64,
+    sum: f64,
+    out: &'a mut Trace,
+}
+
+impl DownsampleRead<'_> {
+    /// Adds `count` frames summing to `sum_w` to the open bucket (they
+    /// fit it); closes the bucket at `last` when it fills.
+    fn add(&mut self, count: u64, sum_w: f64, last: SimTime) {
+        self.count += count;
+        self.sum += sum_w;
+        if self.count == self.divisor {
+            self.out
+                .push(last, Watts::new(self.sum / self.divisor as f64));
+            (self.count, self.sum) = (0, 0.0);
+        }
     }
 }
